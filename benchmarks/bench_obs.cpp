@@ -1,9 +1,9 @@
 // Observability-overhead benchmark (DESIGN.md §15):
 //
 //   BM_QueryTracedCrossShard — the same LUBM workload runs through one
-//     sharded engine twice per iteration, untraced (plain
-//     ExecuteSparql) and traced (ExecuteSparqlTraced adopting a
-//     TraceStore trace under a request span, the exact shape
+//     engine over a sharded index twice per iteration, untraced (plain
+//     ExecuteSparql) and traced (an engine copy adopting a TraceStore
+//     trace under a request span, the exact shape
 //     `sama_cli serve --binary` produces for a propagated trace id).
 //     Answers must be byte-identical between the two modes — tracing
 //     is observation, never behaviour — and the headline number is
@@ -39,7 +39,6 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "query/sparql.h"
-#include "shard/sharded_engine.h"
 #include "shard/sharded_index.h"
 #include "text/thesaurus.h"
 
@@ -123,7 +122,7 @@ int Run(const Options& options) {
   }
   EngineOptions engine_options;
   engine_options.search.max_expansions = options.max_expansions;
-  ShardedEngine engine(&graph, &index, &thesaurus, engine_options);
+  SamaEngine engine(&graph, &index, &thesaurus, engine_options);
 
   std::vector<BenchmarkQuery> queries = MakeLubmQueries();
   std::vector<QueryRow> rows(queries.size());
@@ -158,13 +157,13 @@ int Run(const Options& options) {
       // span, exactly what BinaryQueryServer does for a propagated id.
       TraceContext ctx = TraceContext::Generate();
       std::shared_ptr<QueryTrace> trace = store.GetOrCreate(ctx);
-      ShardedEngine::RequestObs robs;
-      robs.adopt_trace = trace;
       t0 = Clock::now();
-      robs.adopt_parent = trace->BeginSpan("request", 0);
-      auto traced =
-          engine.ExecuteSparqlTraced(*parsed, options.k, robs, nullptr);
-      trace->EndSpan(robs.adopt_parent);
+      SamaEngine configured = engine;
+      ObsOptions& obs = configured.mutable_options().obs;
+      obs.adopt_trace = trace;
+      obs.adopt_parent = trace->BeginSpan("request", 0);
+      auto traced = configured.ExecuteSparql(*parsed, options.k, nullptr);
+      trace->EndSpan(obs.adopt_parent);
       double traced_ms = MillisSince(t0);
       if (!traced.ok()) {
         std::fprintf(stderr, "traced query %s failed: %s\n",

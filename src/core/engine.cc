@@ -1,8 +1,10 @@
 #include "core/engine.h"
 
 #include <shared_mutex>
+#include <string>
 
 #include "common/timer.h"
+#include "shard/sharded_index.h"
 #include "storage/triple_codec.h"
 #include "storage/wal.h"
 
@@ -212,6 +214,11 @@ struct SamaEngine::UpdateState {
 
 Status SamaEngine::EnableUpdates(DataGraph* graph, PathIndex* index,
                                  UpdateOptions options) {
+  if (sharded_ != nullptr) {
+    return Status::InvalidArgument(
+        "sharded indexes are read-only (rebuild the shards to change the "
+        "data)");
+  }
   if (graph != graph_ || index != index_) {
     return Status::InvalidArgument(
         "EnableUpdates must receive the same graph and index the engine "
@@ -428,8 +435,45 @@ SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
       index_(index),
       thesaurus_(thesaurus),
       options_(options) {
-  size_t threads = options.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                            : options.num_threads;
+  Init();
+}
+
+SamaEngine::SamaEngine(const DataGraph* graph, const ShardedIndex* index,
+                       const Thesaurus* thesaurus, EngineOptions options)
+    : graph_(graph),
+      sharded_(index),
+      thesaurus_(thesaurus),
+      options_(options) {
+  for (size_t s = 0; s < index->num_shards(); ++s) {
+    if (!index->shard_degraded(s)) live_shards_.push_back({s, nullptr});
+  }
+  Init();
+}
+
+template <typename Fn>
+void SamaEngine::ForEachIndex(Fn&& fn) const {
+  if (index_ != nullptr) fn(*index_);
+  for (const LiveShard& live : live_shards_) fn(*sharded_->shard(live.shard));
+}
+
+// Summed over every index, so sharded profiles attribute pages like
+// single-index ones.
+BufferPool::Stats SamaEngine::PoolStats() const {
+  BufferPool::Stats sum;
+  ForEachIndex([&sum](const PathIndex& index) {
+    BufferPool::Stats s = index.cache_stats();
+    sum.fetches += s.fetches;
+    sum.hits += s.hits;
+    sum.misses += s.misses;
+    sum.evictions += s.evictions;
+    sum.bytes_read += s.bytes_read;
+  });
+  return sum;
+}
+
+void SamaEngine::Init() {
+  size_t threads = options_.num_threads == 0 ? ThreadPool::HardwareThreads()
+                                             : options_.num_threads;
   // The calling thread participates in every parallel section, so a
   // request for N threads needs N-1 pool workers. The pool is shared
   // (engine copies in ExecuteSparql reuse it) and lives for the
@@ -440,20 +484,26 @@ SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
   if (cache.enabled) {
     label_cache_ = std::make_shared<ShardedLruCache<uint64_t, LabelMatch>>(
         cache.label_match_entries, cache.shards);
-    alignment_memo_ = std::make_shared<AlignmentMemo>(
-        cache.alignment_memo_entries, cache.shards);
+    if (index_ != nullptr) {
+      alignment_memo_ = std::make_shared<AlignmentMemo>(
+          cache.alignment_memo_entries, cache.shards);
+    }
+    for (LiveShard& live : live_shards_) {
+      live.alignment_memo = std::make_shared<AlignmentMemo>(
+          cache.alignment_memo_entries, cache.shards);
+    }
     label_cache_identity_ = std::make_shared<std::atomic<uint64_t>>(
         thesaurus_ == nullptr ? 0 : thesaurus_->identity());
   }
-  if (index_ != nullptr) {
-    IndexCacheConfig index_cache;
-    index_cache.enabled = cache.enabled;
-    index_cache.posting_entries = cache.posting_entries;
-    index_cache.lookup_entries = cache.path_lookup_entries;
-    index_cache.record_entries = cache.path_record_entries;
-    index_cache.shards = cache.shards;
-    index_->ConfigureQueryCache(index_cache);
-  }
+  IndexCacheConfig index_cache;
+  index_cache.enabled = cache.enabled;
+  index_cache.posting_entries = cache.posting_entries;
+  index_cache.lookup_entries = cache.path_lookup_entries;
+  index_cache.record_entries = cache.path_record_entries;
+  index_cache.shards = cache.shards;
+  ForEachIndex([&index_cache](const PathIndex& index) {
+    index.ConfigureQueryCache(index_cache);
+  });
 
   const ObsOptions& obs = options_.obs;
   if (obs.metrics) {
@@ -461,6 +511,11 @@ SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
         obs.registry != nullptr ? obs.registry : MetricsRegistry::Global();
     instruments_ =
         std::make_shared<EngineInstruments>(EngineInstruments::Resolve(reg));
+    if (sharded_ != nullptr) {
+      reg->GetGauge("sama_shard_degraded",
+                    "Shards currently unusable (damaged index/sidecar).")
+          ->Set(static_cast<double>(sharded_->degraded_shards()));
+    }
   }
   if (obs.slow_query_millis > 0) {
     SlowQueryLog::Options log_options;
@@ -478,7 +533,10 @@ SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
 void SamaEngine::DropQueryCaches() const {
   if (label_cache_) label_cache_->Clear();
   if (alignment_memo_) alignment_memo_->Clear();
-  if (index_ != nullptr) index_->DropQueryCaches();
+  for (const LiveShard& live : live_shards_) {
+    if (live.alignment_memo) live.alignment_memo->Clear();
+  }
+  ForEachIndex([](const PathIndex& index) { index.DropQueryCaches(); });
 }
 
 Result<std::vector<Answer>> SamaEngine::ExecuteSparql(
@@ -500,59 +558,67 @@ Result<std::vector<Answer>> SamaEngine::ExecuteSparql(
   return configured.Execute(qg, k, stats);
 }
 
-Result<std::vector<Cluster>> SamaEngine::ClusterQuery(const QueryGraph& query,
-                                                      QueryStats* stats) const {
-  // Same ordering guarantee as Execute: clustering sees either all of
-  // an update or none of it.
-  std::shared_lock<std::shared_mutex> update_lock;
-  if (updates_ != nullptr) {
-    update_lock = std::shared_lock<std::shared_mutex>(updates_->mu);
+Result<std::vector<Cluster>> SamaEngine::ClusterShards(
+    const QueryGraph& query, const ClusteringOptions& options,
+    std::atomic<uint64_t>* busy, std::atomic<uint64_t>* corrupt_skipped,
+    std::atomic<uint64_t>* io_retried, const QueryObs& qobs) const {
+  if (live_shards_.empty()) {
+    return Status::Internal("every shard of the index is degraded");
   }
-  WallTimer total;
-  QueryStats local;
-  local.threads_used = threads_used();
+  // Every live shard clusters against its own index and memo, into its
+  // own slot, so fan-out order cannot change the result.
+  std::vector<std::vector<Cluster>> per_shard(live_shards_.size());
+  SAMA_RETURN_IF_ERROR(ParallelFor(
+      pool_.get(), live_shards_.size(), [&](size_t i) -> Status {
+        const LiveShard& live = live_shards_[i];
+        // Pool workers cannot see the clustering span through
+        // thread-locals, so parent explicitly.
+        ObsSpan span(qobs.trace, "shard-" + std::to_string(live.shard) +
+                                     ".cluster",
+                     qobs.parent_span);
+        span.SetAttr("shard", std::to_string(live.shard));
+        QueryObs shard_obs = qobs;
+        shard_obs.parent_span = span.id();
+        QueryCaches caches;
+        caches.label_matches = label_cache_.get();
+        caches.alignment_memo = live.alignment_memo.get();
+        auto clusters_or = BuildClusters(
+            query, *sharded_->shard(live.shard), thesaurus_, options_.params,
+            options, pool_.get(), busy, corrupt_skipped, io_retried, &caches,
+            &shard_obs);
+        if (!clusters_or.ok()) return clusters_or.status();
+        for (Cluster& c : *clusters_or) {
+          for (ScoredPath& sp : c.paths) {
+            sp.id = sharded_->GlobalId(live.shard, sp.id);
+          }
+        }
+        per_shard[i] = std::move(*clusters_or);
+        return Status::Ok();
+      }));
 
-  if (label_cache_ != nullptr) {
-    uint64_t identity = thesaurus_ == nullptr ? 0 : thesaurus_->identity();
-    if (label_cache_identity_->exchange(identity) != identity) {
-      label_cache_->Clear();
+  // Merge into the single-index candidate lists: concatenate, re-sort
+  // by (λ, global id) — the shards' path sets are disjoint, so this is
+  // exactly the unsharded order — and re-apply the per-cluster cap (the
+  // global top-cap is a subset of the union of the per-shard top-caps,
+  // so nothing it needs was dropped locally).
+  std::vector<Cluster> clusters = std::move(per_shard[0]);
+  for (size_t i = 1; i < per_shard.size(); ++i) {
+    for (size_t j = 0; j < clusters.size(); ++j) {
+      for (ScoredPath& sp : per_shard[i][j].paths) {
+        clusters[j].paths.push_back(std::move(sp));
+      }
     }
   }
-  QueryCaches caches;
-  caches.label_matches = label_cache_.get();
-  caches.alignment_memo = alignment_memo_.get();
-  QueryCacheDeltas deltas;
-  QueryObs qobs;
-  qobs.deltas = &deltas;
-
-  local.num_query_paths = query.paths().size();
-  WallTimer phase;
-  std::atomic<uint64_t> clustering_busy{0};
-  std::atomic<uint64_t> corrupt_skipped{0};
-  std::atomic<uint64_t> io_retried{0};
-  ClusteringOptions clustering_options = options_.clustering;
-  clustering_options.strict_io = options_.strict_io;
-  clustering_options.max_io_retries = options_.max_io_retries;
-  auto clusters_or =
-      BuildClusters(query, *index_, thesaurus_, options_.params,
-                    clustering_options, pool_.get(), &clustering_busy,
-                    &corrupt_skipped, &io_retried, &caches, &qobs);
-  if (!clusters_or.ok()) return clusters_or.status();
-  local.clustering_millis = phase.ElapsedMillis();
-  local.clustering_busy_millis =
-      static_cast<double>(clustering_busy.load()) / 1e6;
-  local.corrupt_records_skipped = corrupt_skipped.load();
-  local.io_retries = io_retried.load();
-  for (const Cluster& c : *clusters_or) local.num_candidate_paths += c.size();
-  local.posting_cache = deltas.postings.Snapshot();
-  local.path_lookup_cache = deltas.lookups.Snapshot();
-  local.path_record_cache = deltas.records.Snapshot();
-  local.label_match_cache = deltas.label_matches.Snapshot();
-  local.alignment_memo = deltas.alignments.Snapshot();
-  local.thesaurus_cache = deltas.thesaurus.Snapshot();
-  local.total_millis = total.ElapsedMillis();
-  if (stats != nullptr) *stats = local;
-  return clusters_or;
+  const size_t cap = options.max_candidates_per_cluster;
+  for (Cluster& c : clusters) {
+    std::sort(c.paths.begin(), c.paths.end(),
+              [](const ScoredPath& a, const ScoredPath& b) {
+                if (a.lambda() != b.lambda()) return a.lambda() < b.lambda();
+                return a.id < b.id;
+              });
+    if (cap != 0 && c.paths.size() > cap) c.paths.resize(cap);
+  }
+  return clusters;
 }
 
 Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
@@ -568,6 +634,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   WallTimer total;
   QueryStats local;
   local.threads_used = threads_used();
+  if (sharded_ != nullptr) local.shards_degraded = sharded_->degraded_shards();
   ThreadPool* pool = pool_.get();
   // Epoch-reclamation activity over the query window (global manager,
   // so concurrent queries contribute too — see QueryStats).
@@ -647,7 +714,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
     return total;
   };
   BufferPool::Stats pages_before{};
-  if (profiling) pages_before = index_->cache_stats();
+  if (profiling) pages_before = PoolStats();
 
   // Clustering (parallel over candidate chunks when a pool exists;
   // results are identical either way).
@@ -662,9 +729,12 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   // Chunk spans recorded on pool workers parent here explicitly.
   qobs.parent_span = clustering_span.id();
   auto clusters_or =
-      BuildClusters(query, *index_, thesaurus_, options_.params,
-                    clustering_options, pool, &clustering_busy,
-                    &corrupt_skipped, &io_retried, &caches, &qobs);
+      sharded_ != nullptr
+          ? ClusterShards(query, clustering_options, &clustering_busy,
+                          &corrupt_skipped, &io_retried, qobs)
+          : BuildClusters(query, *index_, thesaurus_, options_.params,
+                          clustering_options, pool, &clustering_busy,
+                          &corrupt_skipped, &io_retried, &caches, &qobs);
   clustering_span = ObsSpan();
   if (!clusters_or.ok()) return clusters_or.status();
   const std::vector<Cluster>& clusters = *clusters_or;
@@ -678,7 +748,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   BufferPool::Stats pages_after_clustering = pages_before;
   CacheCounters cache_after_clustering;
   if (profiling) {
-    pages_after_clustering = index_->cache_stats();
+    pages_after_clustering = PoolStats();
     cache_after_clustering = cache_totals();
   }
 
@@ -698,7 +768,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   local.search_expansions = fstats.expansions;
   local.search_bound_pruned = fstats.bound_pruned;
   local.search_roots_pruned = fstats.roots_pruned;
-  local.search_shared_bound_pruned = fstats.shared_bound_pruned;
   local.search_truncated = fstats.truncated;
 
   // Per-query cache stats come straight from this query's scoped sinks.
@@ -721,7 +790,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   if (options_.obs.trace || adopting) local.trace = trace;
 
   if (profiling) {
-    BufferPool::Stats pages_after_search = index_->cache_stats();
+    BufferPool::Stats pages_after_search = PoolStats();
     CacheCounters cache_after_search = cache_totals();
 
     ProfileSummary summary;
@@ -805,7 +874,12 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
     uint64_t skips = 0;
     if (label_cache_ != nullptr) skips += label_cache_->lru_lock_skips();
     if (alignment_memo_ != nullptr) skips += alignment_memo_->lock_skips();
-    if (index_ != nullptr) skips += index_->query_cache_lock_skips();
+    for (const LiveShard& live : live_shards_) {
+      if (live.alignment_memo) skips += live.alignment_memo->lock_skips();
+    }
+    ForEachIndex([&skips](const PathIndex& index) {
+      skips += index.query_cache_lock_skips();
+    });
     if (thesaurus_ != nullptr) {
       skips += thesaurus_->relatedness_cache_lock_skips();
     }

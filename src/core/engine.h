@@ -28,6 +28,7 @@
 namespace sama {
 
 struct EngineInstruments;
+class ShardedIndex;
 
 // Sizing/enable knobs for the engine's query-side cache layer: the
 // index caches (postings, candidate lists, path records), the shared
@@ -219,13 +220,9 @@ struct QueryStats {
   uint64_t search_expansions = 0;
   uint64_t search_bound_pruned = 0;
   uint64_t search_roots_pruned = 0;
-  // Prunes owed solely to a cross-shard shared k-th bound
-  // (ForestSearchOptions::shared_bound); 0 outside sharded execution.
-  uint64_t search_shared_bound_pruned = 0;
   // Shards that were unusable (damaged index or sidecar) and therefore
-  // contributed no candidates to this query. Populated only by sharded
-  // execution (ShardedEngine); 0 on a healthy shard set and always 0
-  // for single-index engines.
+  // contributed no candidates to this query. 0 on a healthy shard set
+  // and always 0 for single-index engines.
   uint64_t shards_degraded = 0;
   // True when the anytime budget cut the combination space short (a
   // subtree exhausted its share, or subtrees went unexamined); while
@@ -268,9 +265,9 @@ struct QueryStats {
 };
 
 // The end-to-end Sama query processor (§5): preprocessing → clustering
-// → search over a pre-built PathIndex. Stateless across queries apart
-// from the shared dictionary, which grows as query constants are
-// interned.
+// → search over a pre-built PathIndex or ShardedIndex. Stateless across
+// queries apart from the shared dictionary, which grows as query
+// constants are interned.
 class SamaEngine {
  public:
   // All pointers are borrowed and must outlive the engine; `thesaurus`
@@ -279,6 +276,16 @@ class SamaEngine {
   // on `index` — note that a second engine constructed over the SAME
   // index reconfigures those shared index caches with ITS options.
   SamaEngine(const DataGraph* graph, const PathIndex* index,
+             const Thesaurus* thesaurus, EngineOptions options = {});
+  // Serves a sharded index (DESIGN.md §14). Only the clustering step
+  // differs: it fans out over the live shards, each against its own
+  // PathIndex and caches, and merges their clusters into exactly the
+  // single-index candidate lists; preprocessing, the one forest search
+  // and all observability are the single-index code. Answers are
+  // byte-identical to a single-index engine with the same options.
+  // Read-only: EnableUpdates is refused. `index` must be
+  // ShardedIndex::Open()ed over `graph`.
+  SamaEngine(const DataGraph* graph, const ShardedIndex* index,
              const Thesaurus* thesaurus, EngineOptions options = {});
 
   // Runs a parsed SPARQL query; `k` overrides options.search.k when
@@ -297,19 +304,10 @@ class SamaEngine {
     return QueryGraph::FromPatterns(patterns, graph_->shared_dict());
   }
 
-  // The scatter half of sharded execution (DESIGN.md §14): runs ONLY
-  // the clustering phase of Execute over this engine's index — same
-  // update lock, caches, degraded-read policy and stats attribution —
-  // and returns the per-query-path clusters sorted (λ asc, PathId
-  // asc). Cluster path ids are LOCAL to this engine's index; the
-  // sharded coordinator rewrites them to the global id space before
-  // merging. Plain queries should keep using Execute.
-  Result<std::vector<Cluster>> ClusterQuery(const QueryGraph& query,
-                                            QueryStats* stats = nullptr) const;
-
   const EngineOptions& options() const { return options_; }
   EngineOptions& mutable_options() { return options_; }
   const DataGraph& graph() const { return *graph_; }
+  // Single-index engines only.
   const PathIndex& index() const { return *index_; }
   const Thesaurus* thesaurus() const { return thesaurus_; }
 
@@ -389,8 +387,22 @@ class SamaEngine {
  private:
   struct UpdateState;  // Defined in engine.cc (owns the Wal).
 
+  // Shared tail of both constructors: pool, caches and instruments.
+  void Init();
+  // Calls fn(const PathIndex&) for every index clustering reads: the
+  // one index, or each live shard.
+  template <typename Fn>
+  void ForEachIndex(Fn&& fn) const;
+  BufferPool::Stats PoolStats() const;
+  // The clustering step over a sharded index (see the constructor).
+  Result<std::vector<Cluster>> ClusterShards(
+      const QueryGraph& query, const ClusteringOptions& options,
+      std::atomic<uint64_t>* busy, std::atomic<uint64_t>* corrupt_skipped,
+      std::atomic<uint64_t>* io_retried, const QueryObs& qobs) const;
+
   const DataGraph* graph_;
-  const PathIndex* index_;
+  const PathIndex* index_ = nullptr;       // Null when sharded.
+  const ShardedIndex* sharded_ = nullptr;  // Null when single-index.
   const Thesaurus* thesaurus_;
   EngineOptions options_;
   std::shared_ptr<ThreadPool> pool_;
@@ -403,6 +415,13 @@ class SamaEngine {
   // ExecuteSparql makes (hence shared_ptr).
   std::shared_ptr<ShardedLruCache<uint64_t, LabelMatch>> label_cache_;
   std::shared_ptr<AlignmentMemo> alignment_memo_;
+  // Sharded engines: the live shards, each with its own alignment memo
+  // (memo keys are shard-local PathIds, so shards cannot share one).
+  struct LiveShard {
+    size_t shard = 0;
+    std::shared_ptr<AlignmentMemo> alignment_memo;
+  };
+  std::vector<LiveShard> live_shards_;
   // The thesaurus content identity the label cache's entries were
   // computed under; a mismatch at query time (the thesaurus was
   // mutated) clears the cache. The alignment memo embeds the identity

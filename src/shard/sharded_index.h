@@ -29,8 +29,8 @@ namespace sama {
 // one shard, per-start emission order is identical filtered or not, so
 // prefix sums of the per-start path counts (gathered from the shard
 // builds themselves) reproduce the single-index id space exactly. That
-// identity is what lets the sharded engine merge per-shard clusters
-// into byte-identical single-engine candidate lists (DESIGN.md §14).
+// identity is what lets SamaEngine merge per-shard clusters into
+// byte-identical single-index candidate lists (DESIGN.md §14).
 //
 // Shard dirs are read-only at query time; the live-update path
 // (EnableUpdates) does not apply to sharded indexes — rebuild to

@@ -2,7 +2,7 @@
 // trace context rides the v2 header extension, the server adopts it,
 // and the one QueryTrace registered in the server's TraceStore ends up
 // holding the whole story — request spans, engine execution, per-shard
-// searches with shard attributes, and WAL append/fsync/apply for
+// clustering with shard attributes, and WAL append/fsync/apply for
 // updates — across MULTIPLE requests carrying the same trace id.
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "obs/trace_context.h"
 #include "server/binary_server.h"
 #include "server/client.h"
-#include "shard/sharded_engine.h"
 #include "shard/sharded_index.h"
 #include "text/thesaurus.h"
 
@@ -155,7 +154,7 @@ TEST(TracePropagationTest, ShardedServeTracesPerShardAndRefusesUpdates) {
   ASSERT_TRUE(BuildShardedIndex(graph, dir, so, &report).ok());
   ShardedIndex sharded;
   ASSERT_TRUE(sharded.Open(&graph, dir, /*strict=*/false).ok());
-  ShardedEngine engine(&graph, &sharded, &thesaurus, {});
+  SamaEngine engine(&graph, &sharded, &thesaurus, {});
 
   MetricsRegistry registry;
   BinaryQueryServer::Options options;
@@ -183,16 +182,22 @@ TEST(TracePropagationTest, ShardedServeTracesPerShardAndRefusesUpdates) {
   ASSERT_NE(trace, nullptr);
   std::vector<TraceSpan> spans = trace->Snapshot();
   std::vector<std::string> names = SpanNames(*trace);
-  EXPECT_TRUE(HasSpan(names, "request"));
-  EXPECT_TRUE(HasSpan(names, "scatter"));
-  EXPECT_TRUE(HasSpan(names, "merge"));
-  // One search span per shard, each stamped with its shard id.
+  // The single-index shape: query -> preprocess, clustering, search.
+  for (const char* name :
+       {"request", "query", "preprocess", "clustering", "search"}) {
+    EXPECT_TRUE(HasSpan(names, name)) << name;
+  }
+  // One clustering span per shard under "clustering", each stamped
+  // with its shard id.
+  uint64_t clustering_id = 0;
+  for (const TraceSpan& s : spans) {
+    if (s.name == "clustering") clustering_id = s.id;
+  }
   size_t shard_spans = 0;
   for (const TraceSpan& s : spans) {
-    if (s.name.rfind("shard-", 0) != 0 ||
-        s.name.find(".search") == std::string::npos) {
-      continue;
-    }
+    if (s.name.rfind("shard-", 0) != 0) continue;
+    EXPECT_NE(s.name.find(".cluster"), std::string::npos) << s.name;
+    EXPECT_EQ(s.parent, clustering_id) << s.name;
     ++shard_spans;
     bool has_shard_attr = false;
     for (const auto& kv : s.attrs) {

@@ -52,17 +52,17 @@ Usage:
      summary must not fall below the baseline by more than
      --tolerance — lock-freedom must not tax the uncontended case.
 
---mode=shard gates bench_shard artifacts (sharded scatter-gather):
+--mode=shard gates bench_shard artifacts (sharded clustering):
   1. Correctness (unconditional, never skipped): summary.mismatches
-     must be exactly zero — every untruncated query must be
-     byte-identical (scores AND tie-break order) to the single-index
+     must be exactly zero — every query, truncated ones included, must
+     be byte-identical (scores AND tie-break order) to the single-index
      run at every shard count.
-  2. Bound liveness (unconditional): summary.bound_exchange_prunes
-     must be positive — a zero means the cross-shard k-th-score bound
-     never cut anything and the exchange is dead code.
+  2. Same work (unconditional, machine-independent): every shard
+     run's expansions must equal summary.single_expansions — sharding
+     only moves clustering, so the one forest search must do exactly
+     the single index's work.
   3. Coverage: summary.queries_compared must not fall below the
-     baseline — the identity check must not silently become vacuous
-     because more queries started truncating.
+     baseline — the identity check must not silently lose queries.
   4. Latency: per-shard-count mean_ms must not exceed the baseline by
      more than --tolerance (machine-dependent).
 
@@ -295,19 +295,15 @@ def check_shard(new, base, args):
     failures = []
     new_sum, base_sum = new["summary"], base["summary"]
 
-    # Correctness first, and never skippable: identity and bound
-    # liveness are machine-independent by construction.
+    # Correctness first, and never skippable: identity and equal work
+    # are machine-independent by construction.
     mismatches = get_number(new_sum, "mismatches",
                             f"{args.new_json} summary")
     if mismatches != 0:
         failures.append(f"mismatches is {mismatches:g}; sharded answers "
                         f"must be byte-identical to the single index")
-    prunes = get_number(new_sum, "bound_exchange_prunes",
-                        f"{args.new_json} summary")
-    if prunes <= 0:
-        failures.append("bound_exchange_prunes is 0; the cross-shard "
-                        "k-th-score bound never pruned anything "
-                        "(dead exchange)")
+    single_expansions = get_number(new_sum, "single_expansions",
+                                   f"{args.new_json} summary")
 
     compared = get_number(new_sum, "queries_compared",
                           f"{args.new_json} summary")
@@ -330,6 +326,14 @@ def check_shard(new, base, args):
                  r for r in base.get("shard_runs", [])}
     if not new_runs:
         die(f"missing or empty 'shard_runs' in {args.new_json}")
+    for shards, run in sorted(new_runs.items()):
+        expansions = get_number(run, "expansions",
+                                f"{args.new_json} shard_runs[{shards}]")
+        if expansions != single_expansions:
+            failures.append(
+                f"{shards}-shard expansions {expansions:.0f} differ from "
+                f"the single index's {single_expansions:.0f}; sharding "
+                f"must not change the search's work")
     if not args.no_absolute:
         for shards, b in base_runs.items():
             n = new_runs.get(shards)
@@ -355,9 +359,8 @@ def check_shard(new, base, args):
 
     if not failures:
         print(f"shard bench ok: 0 mismatches over {compared:g} "
-              f"byte-compared queries, {prunes:.0f} bound-exchange "
-              f"prune(s), shard counts "
-              f"{sorted(new_runs)} present")
+              f"byte-compared queries, {single_expansions:.0f} "
+              f"expansion(s) at shard counts {sorted(new_runs)}")
     return failures
 
 
