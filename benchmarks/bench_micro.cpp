@@ -18,6 +18,8 @@
 #include "core/alignment.h"
 #include "core/clustering.h"
 #include "core/engine.h"
+#include "core/forest_search.h"
+#include "core/intersection_graph.h"
 #include "core/score.h"
 #include "datasets/govtrack.h"
 #include "datasets/lubm.h"
@@ -140,6 +142,45 @@ void BM_ForestSearchTopK(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestSearchTopK);
+
+// The search kernel on its own under a heavy, truncating workload: LUBM
+// ×1 Q10's clusters are built once, then every iteration is one
+// single-threaded ForestSearch at a 50k-expansion budget. items/s is
+// expansions per second.
+void BM_ForestSearchLubmHeavy(benchmark::State& state) {
+  LubmConfig config;
+  config.universities = 1;
+  DataGraph graph = DataGraph::FromTriples(GenerateLubm(config));
+  PathIndex index;
+  (void)index.Build(graph, PathIndexOptions());
+  Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
+  auto parsed = ParseSparql(MakeLubmQueries()[9].sparql);  // Q10.
+  if (!parsed.ok()) {
+    state.SkipWithError("Q10 does not parse");
+    return;
+  }
+  QueryGraph query = parsed->ToQueryGraph(graph.shared_dict());
+  IntersectionQueryGraph ig(query);
+  ScoreParams params;
+  auto clusters = BuildClusters(query, index, &thesaurus, params,
+                                EngineOptions().clustering);
+  if (!clusters.ok()) {
+    state.SkipWithError("clustering failed");
+    return;
+  }
+  ForestSearchOptions options;
+  options.max_expansions = 50000;
+  ForestSearchStats fstats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ForestSearch(query, ig, *clusters, params,
+                                          options, nullptr, nullptr,
+                                          &fstats));
+  }
+  state.counters["expansions"] = static_cast<double>(fstats.expansions);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fstats.expansions));
+}
+BENCHMARK(BM_ForestSearchLubmHeavy)->Unit(benchmark::kMillisecond);
 
 void BM_OptimalVsGreedyAlignment(benchmark::State& state) {
   AlignmentInput in = MakeAlignmentInput(16);

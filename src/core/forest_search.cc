@@ -1,8 +1,12 @@
 #include "core/forest_search.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 
 #include "core/score.h"
@@ -179,9 +183,10 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     return active[order[pos]]->paths[idx];
   };
 
-  // ---- Shared read-only precomputation. Everything from here to the
-  // subtree searcher is immutable during the search, so concurrent
-  // subtrees capture it freely.
+  // ---- Shared precomputation. Everything from here to the subtree
+  // searcher is immutable during the search, except that forest rows
+  // are filled in on first use (each a pure function of the clusters),
+  // so concurrent subtrees capture it freely.
 
   // Sorted node-id sets per candidate, so χ(pi, pj) inside the search
   // loop is a linear merge without sorting or allocation.
@@ -193,18 +198,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       std::sort(nodes.begin(), nodes.end());
       nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
       sorted_nodes[pos].push_back(std::move(nodes));
-    }
-  }
-  // node id -> candidate indices per join position (ascending, i.e. in
-  // λ order), used to enumerate only candidates that can connect to the
-  // prefix when require_connected is set.
-  std::vector<std::unordered_map<NodeId, std::vector<size_t>>>
-      candidates_by_node(m);
-  for (size_t pos = 0; pos < m; ++pos) {
-    for (size_t idx = 0; idx < sorted_nodes[pos].size(); ++idx) {
-      for (NodeId n : sorted_nodes[pos][idx]) {
-        candidates_by_node[pos][n].push_back(idx);
-      }
     }
   }
 
@@ -241,7 +234,28 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   struct JoinEdge {
     size_t earlier;
     size_t chi_q;
+    // With require_connected, the forest edges (§5) from each candidate
+    // at the earlier position: its row, the ascending (λ-ordered) list
+    // of later candidates sharing at least one node with it. Null until
+    // a subtree first needs it.
+    std::unique_ptr<std::atomic<const std::vector<uint32_t>*>[]> row_of;
   };
+  // The rows of one join position. A row depends only on which of the
+  // earlier candidate's nodes occur in this position's cluster, so all
+  // candidates — over every edge completing here — with the same such
+  // node set share one row. Rows are built on first use: the row is a
+  // pure function of its key, so which subtree builds it changes
+  // nothing, and a search that stops at its budget never pays for rows
+  // it did not reach.
+  struct ForestRows {
+    // node id -> candidate indices at this position, ascending.
+    std::unordered_map<NodeId, std::vector<uint32_t>> candidates_by_node;
+    std::mutex mu;
+    // Shared node set -> row. Guarded by `mu`; map nodes never move, so
+    // published rows stay valid while later ones are added.
+    std::map<std::vector<NodeId>, std::vector<uint32_t>> by_shared_nodes;
+  };
+  std::vector<ForestRows> rows_at(m);
   std::vector<std::vector<JoinEdge>> edges_completing_at(m);
   std::vector<double> psi_lb_suffix(m + 1, 0.0);
   std::vector<double> psi_lb_at(m, 0.0);
@@ -257,7 +271,8 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       size_t b = position_of_query_path[edge.qj];
       if (a >= m || b >= m) continue;  // Touches an empty cluster.
       if (a > b) std::swap(a, b);
-      edges_completing_at[b].push_back(JoinEdge{a, edge.shared.size()});
+      edges_completing_at[b].push_back(
+          JoinEdge{a, edge.shared.size(), nullptr});
       size_t max_chi = std::min(max_len[a], max_len[b]);
       lb_at[b] += params.e * static_cast<double>(edge.shared.size()) /
                   static_cast<double>(max_chi);
@@ -266,6 +281,47 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       psi_lb_suffix[pos] = psi_lb_suffix[pos + 1] + lb_at[pos];
     }
   }
+  for (size_t b = 1; options.require_connected && b < m; ++b) {
+    if (edges_completing_at[b].empty()) continue;
+    for (size_t idx = 0; idx < sorted_nodes[b].size(); ++idx) {
+      for (NodeId n : sorted_nodes[b][idx]) {
+        rows_at[b].candidates_by_node[n].push_back(static_cast<uint32_t>(idx));
+      }
+    }
+    for (JoinEdge& edge : edges_completing_at[b]) {
+      edge.row_of =
+          std::make_unique<std::atomic<const std::vector<uint32_t>*>[]>(
+              sorted_nodes[edge.earlier].size());
+    }
+  }
+  // Candidate `idx`'s row on `edge`, which completes at `pos`.
+  auto forest_row = [&](const JoinEdge& edge, size_t pos,
+                        size_t idx) -> const std::vector<uint32_t>& {
+    const std::vector<uint32_t>* row =
+        edge.row_of[idx].load(std::memory_order_acquire);
+    if (row != nullptr) return *row;
+    ForestRows& rows = rows_at[pos];
+    std::vector<NodeId> shared;
+    for (NodeId n : sorted_nodes[edge.earlier][idx]) {
+      if (rows.candidates_by_node.count(n) != 0) shared.push_back(n);
+    }
+    {
+      std::lock_guard<std::mutex> lock(rows.mu);
+      auto [it, inserted] = rows.by_shared_nodes.try_emplace(std::move(shared));
+      if (inserted) {
+        std::vector<uint32_t>& fresh = it->second;
+        for (NodeId n : it->first) {
+          const std::vector<uint32_t>& with_n = rows.candidates_by_node.at(n);
+          fresh.insert(fresh.end(), with_n.begin(), with_n.end());
+        }
+        std::sort(fresh.begin(), fresh.end());
+        fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+      }
+      row = &it->second;
+    }
+    edge.row_of[idx].store(row, std::memory_order_release);
+    return *row;
+  };
 
   // Admissible λ remainder: Σ of each unplaced cluster's best λ.
   std::vector<double> min_lambda_suffix(m + 1, 0.0);
@@ -293,49 +349,46 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     if (a.score != b.score) return a.score < b.score;
     return a.enum_key < b.enum_key;
   };
-  auto keep = [&](std::vector<Answer>&& batch, std::vector<Answer>* into,
+  auto keep = [&](Answer&& answer, std::vector<Answer>* into,
                   std::unordered_map<std::string, double>* best_by_tuple) {
-    for (Answer& answer : batch) {
+    if (!options.dedup_vars.empty()) {
+      std::string key = tuple_key(answer);
+      auto [it, inserted] = best_by_tuple->emplace(key, answer.score);
+      if (!inserted) {
+        if (answer.score > it->second) return;  // Kept one is better.
+        // Locate the previously kept answer for this tuple; on a score
+        // tie the canonically earlier enumeration wins, so the dedup
+        // representative is schedule-independent too.
+        auto r = into->begin();
+        for (; r != into->end(); ++r) {
+          if (r->score == it->second && tuple_key(*r) == key) break;
+        }
+        if (r != into->end()) {
+          if (answer.score == r->score && !(answer.enum_key < r->enum_key)) {
+            return;
+          }
+          into->erase(r);
+        }
+        it->second = answer.score;
+      }
+    }
+    auto at = std::upper_bound(into->begin(), into->end(), answer,
+                               rank_before);
+    into->insert(at, std::move(answer));
+    if (options.k != 0 && into->size() > options.k) {
       if (!options.dedup_vars.empty()) {
-        std::string key = tuple_key(answer);
-        auto [it, inserted] = best_by_tuple->emplace(key, answer.score);
-        if (!inserted) {
-          if (answer.score > it->second) continue;  // Kept one is better.
-          // Locate the previously kept answer for this tuple; on a
-          // score tie the canonically earlier enumeration wins, so the
-          // dedup representative is schedule-independent too.
-          auto r = into->begin();
-          for (; r != into->end(); ++r) {
-            if (r->score == it->second && tuple_key(*r) == key) break;
-          }
-          if (r != into->end()) {
-            if (answer.score == r->score && !(answer.enum_key < r->enum_key)) {
-              continue;
-            }
-            into->erase(r);
-          }
-          it->second = answer.score;
-        }
+        best_by_tuple->erase(tuple_key(into->back()));
       }
-      auto at = std::upper_bound(into->begin(), into->end(), answer,
-                                 rank_before);
-      into->insert(at, std::move(answer));
-      if (options.k != 0 && into->size() > options.k) {
-        if (!options.dedup_vars.empty()) {
-          best_by_tuple->erase(tuple_key(into->back()));
-        }
-        into->pop_back();
-      }
+      into->pop_back();
     }
   };
 
   // ---- The subtree searcher: a depth-first branch and bound with
   // candidate `root` fixed at join position 0. It is a pure function of
-  // (root, inherited threshold, budget share) over the immutable
-  // precomputation above — the determinism contract hangs on that
-  // purity, because it makes results independent of WHICH thread runs
-  // the subtree and WHEN. A prefix is pruned when its admissible lower
-  // bound
+  // (root, inherited threshold, budget share) over the precomputation
+  // above — the determinism contract hangs on that purity, because it
+  // makes results independent of WHICH thread runs the subtree and
+  // WHEN. A prefix is pruned when its admissible lower bound
   //   fixed_cost + Σλ(prefix) + Σ minλ(remaining)
   //   + exact ψ of edges inside the prefix + ψ lower bounds of pending
   //     edges
@@ -352,9 +405,13 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   auto search_subtree = [&](size_t root, double inherited_threshold,
                             size_t share, std::vector<Answer>* out,
                             size_t* pruned_out, bool* truncated_out) {
-    std::vector<size_t> choice(m, 0);
+    std::vector<uint32_t> choice(m, 0);
     std::vector<double> psi_prefix(m + 1, 0.0);  // ψ of edges in prefix.
     std::vector<double> lambda_prefix(m + 1, 0.0);
+    // Per join position: the candidates connecting to every placed path
+    // when that position completes several IG edges.
+    std::vector<std::vector<uint32_t>> connectable(m);
+    std::vector<const ScoredPath*> by_lambda(m);
     std::unordered_map<std::string, double> local_best;
     size_t used = 0;
     size_t pruned = 0;
@@ -369,37 +426,31 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       return std::min(inherited_threshold, local);
     };
 
+    // Emitted answers carry no parts: only the returned ones are
+    // materialised from their enum_key, after the search.
     auto emit = [&](double lambda_sum, double psi_sum) {
       Answer answer;
       answer.lambda_total = empty_penalty + lambda_sum;
       answer.psi_total = empty_psi + psi_sum;
       answer.score = answer.lambda_total + answer.psi_total;
-      answer.parts.resize(m);
-      answer.query_path_index.resize(m);
-      answer.enum_key.resize(m);
-      for (size_t pos = 0; pos < m; ++pos) {
-        // Restore the original cluster order in the answer.
-        answer.parts[order[pos]] = candidate(pos, choice[pos]);
-        answer.query_path_index[order[pos]] = active_query_path[order[pos]];
-        answer.enum_key[pos] = static_cast<uint32_t>(choice[pos]);
-      }
+      answer.enum_key = choice;
       // Merge φ best-alignment-first: when paths disagree on a shared
       // variable, the binding from the better-aligned (lower λ) path
-      // wins.
-      {
-        std::vector<const ScoredPath*> by_lambda;
-        by_lambda.reserve(answer.parts.size());
-        for (const ScoredPath& part : answer.parts) {
-          by_lambda.push_back(&part);
+      // wins; equal λ keeps cluster order (a stable insertion sort).
+      for (size_t pos = 0; pos < m; ++pos) {
+        by_lambda[order[pos]] = &candidate(pos, choice[pos]);
+      }
+      for (size_t i = 1; i < m; ++i) {
+        const ScoredPath* part = by_lambda[i];
+        size_t j = i;
+        for (; j > 0 && part->lambda() < by_lambda[j - 1]->lambda(); --j) {
+          by_lambda[j] = by_lambda[j - 1];
         }
-        std::stable_sort(by_lambda.begin(), by_lambda.end(),
-                         [](const ScoredPath* a, const ScoredPath* b) {
-                           return a->lambda() < b->lambda();
-                         });
-        for (const ScoredPath* part : by_lambda) {
-          if (!answer.binding.Merge(part->alignment.phi)) {
-            answer.consistent = false;
-          }
+        by_lambda[j] = part;
+      }
+      for (const ScoredPath* part : by_lambda) {
+        if (!answer.binding.Merge(part->alignment.phi)) {
+          answer.consistent = false;
         }
       }
       if (options.require_consistent_bindings && !answer.consistent) return;
@@ -407,9 +458,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
           !options.binding_filter(answer.binding)) {
         return;
       }
-      std::vector<Answer> one;
-      one.push_back(std::move(answer));
-      keep(std::move(one), out, &local_best);
+      keep(std::move(answer), out, &local_best);
     };
 
     // Recursive lambda over join positions 1..m (position 0 is fixed).
@@ -420,45 +469,45 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         return;
       }
       const std::vector<ScoredPath>& paths = active[order[pos]]->paths;
+      const std::vector<JoinEdge>& back_edges = edges_completing_at[pos];
       // When this position must connect to already-placed paths, only
       // candidates sharing a node with EVERY one of them can be valid:
-      // intersect, over the back edges, the union of candidate lists of
-      // the anchor path's nodes. The result stays index-ascending, i.e.
-      // λ-ordered.
-      std::vector<size_t> narrowed;
-      bool use_narrowed = false;
-      if (options.require_connected && !edges_completing_at[pos].empty()) {
-        use_narrowed = true;
-        bool first_edge = true;
-        for (const JoinEdge& back : edges_completing_at[pos]) {
-          std::vector<size_t> sharing;
-          for (NodeId n :
-               sorted_nodes[back.earlier][choice[back.earlier]]) {
-            auto it = candidates_by_node[pos].find(n);
-            if (it == candidates_by_node[pos].end()) continue;
-            sharing.insert(sharing.end(), it->second.begin(),
-                           it->second.end());
-          }
-          std::sort(sharing.begin(), sharing.end());
-          sharing.erase(std::unique(sharing.begin(), sharing.end()),
-                        sharing.end());
-          if (first_edge) {
-            narrowed = std::move(sharing);
-            first_edge = false;
-          } else {
-            std::vector<size_t> both;
-            std::set_intersection(narrowed.begin(), narrowed.end(),
-                                  sharing.begin(), sharing.end(),
-                                  std::back_inserter(both));
-            narrowed = std::move(both);
-          }
-          if (narrowed.empty()) break;
+      // the intersection of the back edges' forest-edge rows. Rows are
+      // index-ascending, i.e. λ-ordered, and so is their intersection.
+      const uint32_t* picks = nullptr;
+      size_t candidate_count = paths.size();
+      if (options.require_connected && !back_edges.empty()) {
+        auto row = [&](const JoinEdge& edge) -> const std::vector<uint32_t>& {
+          return forest_row(edge, pos, choice[edge.earlier]);
+        };
+        const std::vector<uint32_t>* shortest = &row(back_edges[0]);
+        for (const JoinEdge& edge : back_edges) {
+          if (row(edge).size() < shortest->size()) shortest = &row(edge);
         }
+        if (back_edges.size() > 1) {
+          // Intersect the other rows into a copy of the shortest.
+          std::vector<uint32_t>& both = connectable[pos];
+          both = *shortest;
+          for (const JoinEdge& edge : back_edges) {
+            const std::vector<uint32_t>& other = row(edge);
+            if (&other == shortest || both.empty()) continue;
+            auto it = other.begin();
+            size_t kept = 0;
+            for (uint32_t idx : both) {
+              while (it != other.end() && *it < idx) ++it;
+              if (it == other.end()) break;
+              if (*it == idx) both[kept++] = idx;
+            }
+            both.resize(kept);
+          }
+          shortest = &both;
+        }
+        picks = shortest->data();
+        candidate_count = shortest->size();
       }
-      const size_t candidate_count =
-          use_narrowed ? narrowed.size() : paths.size();
       for (size_t pick = 0; pick < candidate_count; ++pick) {
-        size_t idx = use_narrowed ? narrowed[pick] : pick;
+        const uint32_t idx =
+            picks != nullptr ? picks[pick] : static_cast<uint32_t>(pick);
         if (++used > share) {
           out_of_budget = true;
           return;
@@ -482,19 +531,17 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
           break;
         }
 
-        // Exact ψ of the edges this position completes, plus validity.
+        // Exact ψ of the edges this position completes. Under
+        // require_connected every candidate came from the forest edges,
+        // so χ(pi, pj) > 0 on each of them.
         double psi_here = 0;
-        bool valid = true;
-        for (const JoinEdge& edge : edges_completing_at[pos]) {
+        for (const JoinEdge& edge : back_edges) {
           size_t chi_p =
               chi_between(edge.earlier, choice[edge.earlier], pos, idx);
-          if (chi_p == 0 && options.require_connected) {
-            valid = false;
-            break;
-          }
           psi_here += PsiCost(edge.chi_q, chi_p, params);
         }
-        if (valid && options.require_consistent_bindings) {
+        bool valid = true;
+        if (options.require_consistent_bindings) {
           for (size_t j = 0; j < pos; ++j) {
             if (!candidate(j, choice[j])
                      .alignment.phi.CompatibleWith(sp.alignment.phi)) {
@@ -521,7 +568,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     // Place the root (one expansion, like any other candidate) and
     // recurse over the remaining positions.
     ++used;
-    choice[0] = root;
+    choice[0] = static_cast<uint32_t>(root);
     lambda_prefix[1] = candidate(0, root).lambda();
     psi_prefix[1] = 0.0;  // No edge completes at position 0.
     descend(descend, 1);
@@ -656,7 +703,9 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         } else {
           completed[wave[w]] = 1;
           held[wave[w]].clear();
-          keep(std::move(wave_out[w]), &results, &best_by_tuple);
+          for (Answer& answer : wave_out[w]) {
+            keep(std::move(answer), &results, &best_by_tuple);
+          }
         }
       }
     }
@@ -682,7 +731,18 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   // best truncated attempt, merged in λ order.
   const bool truncated = !queue.empty();
   for (size_t id : queue) {
-    if (!held[id].empty()) keep(std::move(held[id]), &results, &best_by_tuple);
+    for (Answer& answer : held[id]) {
+      keep(std::move(answer), &results, &best_by_tuple);
+    }
+  }
+  for (Answer& answer : results) {
+    answer.parts.resize(m);
+    answer.query_path_index.resize(m);
+    for (size_t pos = 0; pos < m; ++pos) {
+      // Restore the original cluster order in the answer.
+      answer.parts[order[pos]] = candidate(pos, answer.enum_key[pos]);
+      answer.query_path_index[order[pos]] = active_query_path[order[pos]];
+    }
   }
   if (fstats != nullptr) {
     fstats->expansions = total_used;

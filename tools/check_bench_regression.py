@@ -16,6 +16,10 @@ Usage:
      memo, record cache and lookup cache must not drop more than
      --hit-rate-slack (absolute) under the baseline. A cold-start or
      invalidation bug shows up here before it shows up as latency.
+  4. Exact work: every baseline query's search_expansions and
+     noprune_search_expansions must equal the baseline's. The counts
+     are deterministic, so this holds on any machine; both artifacts
+     must have the same triples and max_expansions.
 
 --mode=serve gates bench_serve artifacts:
   1. Correctness (unconditional, never skipped): protocol_errors and
@@ -508,7 +512,20 @@ def main():
             f"{floor:.2f} (baseline {base_speedup:.2f}, "
             f"min {args.min_speedup:.2f})")
 
+    for key in ("triples", "max_expansions"):
+        new_value = get_number(new, key, args.new_json)
+        base_value = get_number(base, key, args.baseline_json)
+        if new_value != base_value:
+            die(f"{key} {new_value:g} in {args.new_json} differs from "
+                f"{base_value:g} in {args.baseline_json}; expansion counts "
+                f"are only comparable on the same data and budget")
+
     base_rows = {q.get("name"): q for q in base["queries"]}
+    new_names = {q.get("name") for q in new["queries"]}
+    for name in base_rows:
+        if name not in new_names:
+            failures.append(f"{name} present in the baseline but missing "
+                            f"from the new run")
     for q in new["queries"]:
         name = q.get("name")
         if name is None:
@@ -516,6 +533,14 @@ def main():
         b = base_rows.get(name)
         if b is None:
             continue
+        for key in ("search_expansions", "noprune_search_expansions"):
+            new_count = get_number(q, key, f"{args.new_json} query '{name}'")
+            base_count = get_number(b, key,
+                                    f"{args.baseline_json} query '{name}'")
+            if new_count != base_count:
+                failures.append(
+                    f"{name} {key} {new_count:.0f} differs from baseline "
+                    f"{base_count:.0f}; the search's work must not change")
         for key in ("alignment_memo_hit_rate", "record_cache_hit_rate",
                     "lookup_cache_hit_rate"):
             new_rate = get_number(q, key, f"{args.new_json} query '{name}'")
