@@ -7,9 +7,9 @@
 //     `sama_cli serve --binary` produces for a propagated trace id).
 //     Answers must be byte-identical between the two modes — tracing
 //     is observation, never behaviour — and the headline number is
-//     summary.traced_over_untraced, the total-time ratio the
-//     regression gate holds within 5%. Span liveness is gated too: a
-//     traced run that records no spans measured nothing.
+//     traced_over_untraced, the total-time ratio the regression gate
+//     holds within 5%. Span liveness is gated too: a traced run that
+//     records no spans measured nothing.
 //
 //   BM_TimeSeriesSample — one TimeSeriesRing::SampleOnce over a
 //     registry with a serving-sized instrument census, reported as
@@ -17,8 +17,10 @@
 //     steady-state cost (1 Hz in production), so it must stay in the
 //     tens-of-microseconds range.
 //
-// --json=FILE writes the artifact gated by
-// tools/check_bench_regression.py --mode=obs.
+// --json=FILE writes a bench ledger (bench_util.h) gated by
+// tools/check_bench_regression.py: zero mismatches, spans recorded and
+// traced/untraced <= 1.05 on any machine; the sampler cost only against
+// a baseline with the same fingerprint.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -246,45 +248,31 @@ int Run(const Options& options) {
               sample_mean_us);
 
   if (!options.json_path.empty()) {
-    std::FILE* f = std::fopen(options.json_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", options.json_path.c_str());
-      return 1;
+    Ledger ledger("obs");
+    ledger.Config("universities", options.universities);
+    ledger.Config("shards", options.shards);
+    ledger.Config("k", options.k);
+    ledger.Config("iterations", options.iterations);
+    ledger.Config("max_expansions", options.max_expansions);
+    ledger.Config("samples", options.samples);
+    // Tracing is observation, never behaviour; a span-free traced run
+    // measured nothing; and the traced/untraced ratio is a same-run
+    // ratio, so all three gate on any machine.
+    ledger.Metric("mismatches", mismatches, "zero");
+    ledger.Metric("spans_per_query", spans_per_query, "min:1");
+    ledger.Metric("traced_over_untraced", traced_over_untraced, "max:1.05");
+    ledger.Metric("sample_mean_us", sample_mean_us, "lower:0.2");
+    ledger.Metric("untraced_total_ms", untraced_total_ms);
+    ledger.Metric("traced_total_ms", traced_total_ms);
+    ledger.Metric("timeseries_instruments",
+                  counters.size() + gauges.size() + histograms.size());
+    for (const QueryRow& row : rows) {
+      ledger.Metric(row.name + ".untraced_ms", row.untraced_ms);
+      ledger.Metric(row.name + ".traced_ms", row.traced_ms);
+      ledger.Metric(row.name + ".spans", row.spans);
+      ledger.Metric(row.name + ".match", row.match);
     }
-    std::fprintf(f, "{\n  \"bench\": \"obs\",\n");
-    std::fprintf(f, "  \"universities\": %zu,\n  \"shards\": %zu,\n",
-                 options.universities, options.shards);
-    std::fprintf(f, "  \"k\": %zu,\n  \"iterations\": %zu,\n", options.k,
-                 options.iterations);
-    std::fprintf(
-        f,
-        "  \"summary\": {\"mismatches\": %llu, "
-        "\"untraced_total_ms\": %.4f, \"traced_total_ms\": %.4f, "
-        "\"traced_over_untraced\": %.6f, \"spans_per_query\": %.2f, "
-        "\"timeseries_samples\": %zu, \"timeseries_instruments\": %zu, "
-        "\"sample_mean_us\": %.4f},\n",
-        static_cast<unsigned long long>(mismatches),
-        FiniteOr(untraced_total_ms), FiniteOr(traced_total_ms),
-        FiniteOr(traced_over_untraced), FiniteOr(spans_per_query),
-        options.samples,
-        counters.size() + gauges.size() + histograms.size(),
-        FiniteOr(sample_mean_us));
-    std::fprintf(f, "  \"queries\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const QueryRow& row = rows[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"untraced_ms\": %.4f, "
-                   "\"traced_ms\": %.4f, \"spans\": %llu, "
-                   "\"match\": %s}%s\n",
-                   row.name.c_str(), FiniteOr(row.untraced_ms),
-                   FiniteOr(row.traced_ms),
-                   static_cast<unsigned long long>(row.spans),
-                   row.match ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", options.json_path.c_str());
+    ledger.Write(options.json_path);
   }
   return mismatches == 0 && total_spans > 0 ? 0 : 1;
 }

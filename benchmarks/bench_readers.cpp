@@ -9,8 +9,11 @@
 // Every scenario is gated on correctness before timing is believed:
 // each read must return the exact value its key was published with
 // (mismatches land in the summary and fail the run). --json=FILE
-// writes the artifact gated by tools/check_bench_regression.py
-// --mode=read.
+// writes a bench ledger (bench_util.h) gated by
+// tools/check_bench_regression.py: zero mismatches on any machine, the
+// 3x scaling floor when the run had >= 8 hardware threads, and
+// single-thread throughput bands only against a baseline with the same
+// fingerprint.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -73,8 +76,13 @@ struct ScenarioResult {
   uint64_t mismatches = 0;
 };
 
+// Storms per scenario. A storm lasts milliseconds, so one host hiccup
+// moves it by a third; the fastest of five is the code's own cost.
+constexpr int kRepeats = 5;
+
 // Runs `fn(thread_ordinal, &mismatches)` on `threads` threads, each
-// doing `ops_per_thread` reads, and times the whole storm.
+// doing `ops_per_thread` reads, and times the whole storm, fastest of
+// kRepeats. Mismatches count over every storm.
 ScenarioResult RunScenario(
     const std::string& name, size_t threads, size_t ops_per_thread,
     const std::function<void(int, size_t, std::atomic<uint64_t>*)>& fn) {
@@ -83,15 +91,18 @@ ScenarioResult RunScenario(
   r.threads = threads;
   r.ops = static_cast<uint64_t>(threads) * ops_per_thread;
   std::atomic<uint64_t> mismatches{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  Clock::time_point t0 = Clock::now();
-  for (size_t t = 0; t < threads; ++t) {
-    workers.emplace_back(
-        [&, t] { fn(static_cast<int>(t), ops_per_thread, &mismatches); });
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    Clock::time_point t0 = Clock::now();
+    for (size_t t = 0; t < threads; ++t) {
+      workers.emplace_back(
+          [&, t] { fn(static_cast<int>(t), ops_per_thread, &mismatches); });
+    }
+    for (auto& w : workers) w.join();
+    const double ms = MillisSince(t0);
+    if (repeat == 0 || ms < r.millis) r.millis = ms;
   }
-  for (auto& w : workers) w.join();
-  r.millis = MillisSince(t0);
   r.ops_per_sec = r.millis > 0 ? r.ops / (r.millis / 1000.0) : 0;
   r.mismatches = mismatches.load();
   std::fprintf(stderr, "  %-18s %2zu thread(s): %10.0f ops/s%s\n",
@@ -103,58 +114,29 @@ ScenarioResult RunScenario(
 void WriteJson(const std::string& path, const Options& options,
                const std::vector<ScenarioResult>& results,
                double hit_scaling, uint64_t total_mismatches) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
+  Ledger ledger("readers");
+  ledger.Config("ops_per_thread", options.ops_per_thread);
+  ledger.Config("dict_terms", options.dict_terms);
+  ledger.Config("cache_entries", options.cache_entries);
+  ledger.Config("pool_pages", options.pool_pages);
+  ledger.Config("update_inserts", options.update_inserts);
+  ledger.Config("seed", options.seed);
+  ledger.Config("repeats", kRepeats);
+  // Every lock-free read must return exactly the published value.
+  ledger.Metric("mismatches", total_mismatches, "zero");
+  // A lock on the hot read path flattens 16t/1t scaling to ~1.0, but
+  // scaling cannot show on fewer than 8 hardware threads, so the floor
+  // is only written (and so only gates) on a machine that big.
+  ledger.Metric("hit_scaling", hit_scaling,
+                std::thread::hardware_concurrency() >= 8 ? "min:3" : "none");
+  // Lock-freedom must not tax the uncontended case.
+  for (const ScenarioResult& r : results) {
+    const std::string name =
+        r.name + "." + std::to_string(r.threads) + "t.ops_per_sec";
+    ledger.Metric(name, r.ops_per_sec,
+                  r.threads == 1 ? "higher:0.2" : "none");
   }
-  auto one_thread_ops = [&](const char* name) {
-    for (const ScenarioResult& r : results) {
-      if (r.name == name && r.threads == 1) return r.ops_per_sec;
-    }
-    return 0.0;
-  };
-  std::fprintf(f,
-               "{\n  \"bench\": \"readers\",\n  \"seed\": %llu,\n"
-               "  \"summary\": {\n"
-               "    \"hardware_threads\": %u,\n"
-               "    \"mismatches\": %llu,\n"
-               "    \"hit_scaling\": %.4f,\n"
-               "    \"dict_hit_1t_ops\": %.2f,\n"
-               "    \"dict_miss_1t_ops\": %.2f,\n"
-               "    \"cache_hit_1t_ops\": %.2f,\n"
-               "    \"cache_miss_1t_ops\": %.2f,\n"
-               "    \"pool_hit_1t_ops\": %.2f,\n"
-               "    \"dict_hit_with_updates_ops\": %.2f\n  },\n"
-               "  \"queries\": [\n",
-               static_cast<unsigned long long>(options.seed),
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(total_mismatches),
-               FiniteOr(hit_scaling), FiniteOr(one_thread_ops("dict_hit")),
-               FiniteOr(one_thread_ops("dict_miss")),
-               FiniteOr(one_thread_ops("cache_hit")),
-               FiniteOr(one_thread_ops("cache_miss")),
-               FiniteOr(one_thread_ops("pool_hit")),
-               FiniteOr([&] {
-                 for (const ScenarioResult& r : results) {
-                   if (r.name == "dict_hit_with_updates") return r.ops_per_sec;
-                 }
-                 return 0.0;
-               }()));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"threads\": %zu, \"ops\": %llu, "
-                 "\"millis\": %.3f, \"ops_per_sec\": %.2f, "
-                 "\"mismatches\": %llu}%s\n",
-                 r.name.c_str(), r.threads,
-                 static_cast<unsigned long long>(r.ops), FiniteOr(r.millis),
-                 FiniteOr(r.ops_per_sec),
-                 static_cast<unsigned long long>(r.mismatches),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  ledger.Write(path);
 }
 
 int Run(const Options& options) {
@@ -413,7 +395,6 @@ int Run(const Options& options) {
   if (!options.json_path.empty()) {
     WriteJson(options.json_path, options, results, hit_scaling,
               total_mismatches);
-    std::printf("wrote %s\n", options.json_path.c_str());
   }
   return total_mismatches == 0 ? 0 : 1;
 }

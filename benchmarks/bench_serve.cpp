@@ -15,8 +15,10 @@
 //     absorbed (no coordinated omission).
 //
 // Latency percentiles (P50/P95/P99) come from the full per-request
-// sample set. --json=FILE writes the artifact gated by
-// tools/check_bench_regression.py --mode=serve.
+// sample set. --json=FILE writes a bench ledger (bench_util.h) gated by
+// tools/check_bench_regression.py: zero protocol errors and mismatches
+// and a 1000 QPS floor on any machine; QPS and P99 bands only against
+// a baseline with the same fingerprint.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -455,40 +457,38 @@ struct Summary {
 void WriteJson(const std::string& path, const Options& options,
                const ServeEnv& env, const Summary& summary,
                const std::vector<size_t>& per_query_requests) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"serve\",\n"
-               "  \"mode\": \"%s\",\n  \"dataset\": \"%s\",\n"
-               "  \"clients\": %zu,\n  \"workers\": %zu,\n"
-               "  \"summary\": {\n"
-               "    \"elapsed_s\": %.3f,\n    \"requests\": %zu,\n"
-               "    \"ok\": %zu,\n    \"shed\": %zu,\n"
-               "    \"mismatches\": %zu,\n    \"protocol_errors\": %zu,\n"
-               "    \"qps\": %.2f,\n    \"mean_ms\": %.4f,\n"
-               "    \"p50_ms\": %.4f,\n    \"p95_ms\": %.4f,\n"
-               "    \"p99_ms\": %.4f\n  },\n",
-               options.mode.c_str(), options.dataset.c_str(),
-               options.clients, options.workers, summary.elapsed_s,
-               summary.requests, summary.ok, summary.shed,
-               summary.mismatches, summary.protocol_errors,
-               FiniteOr(summary.qps), FiniteOr(summary.mean_ms),
-               FiniteOr(summary.p50_ms), FiniteOr(summary.p95_ms),
-               FiniteOr(summary.p99_ms));
-  std::fprintf(f, "  \"queries\": [\n");
+  Ledger ledger("serve");
+  ledger.Config("mode", options.mode);
+  ledger.Config("dataset", options.dataset);
+  ledger.Config("clients", options.clients);
+  ledger.Config("workers", options.workers);
+  ledger.Config("duration_s", options.duration_s);
+  ledger.Config("requests", options.requests);
+  ledger.Config("rate", options.rate);
+  ledger.Config("k", options.k);
+  ledger.Config("zipf_s", options.zipf_s);
+  ledger.Config("max_group", options.max_group);
+  ledger.Config("seed", options.seed);
+  ledger.Config("mix", options.mix);
+  // Wrong bytes or malformed frames fail whatever the latency says.
+  ledger.Metric("protocol_errors", summary.protocol_errors, "zero");
+  ledger.Metric("mismatches", summary.mismatches, "zero");
+  // A per-core floor (one worker) on any machine, plus a band against
+  // a baseline from the same machine.
+  ledger.Metric("qps", summary.qps, "min:1000 higher:0.2");
+  ledger.Metric("p99_ms", summary.p99_ms, "lower:0.2");
+  ledger.Metric("elapsed_s", summary.elapsed_s);
+  ledger.Metric("requests", summary.requests);
+  ledger.Metric("ok", summary.ok);
+  ledger.Metric("shed", summary.shed);
+  ledger.Metric("mean_ms", summary.mean_ms);
+  ledger.Metric("p50_ms", summary.p50_ms);
+  ledger.Metric("p95_ms", summary.p95_ms);
   for (size_t i = 0; i < env.mix.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"weight\": %.4f, "
-                 "\"requests\": %zu}%s\n",
-                 env.mix[i].name.c_str(), FiniteOr(env.mix[i].weight),
-                 per_query_requests[i],
-                 i + 1 < env.mix.size() ? "," : "");
+    ledger.Metric(env.mix[i].name + ".weight", env.mix[i].weight);
+    ledger.Metric(env.mix[i].name + ".requests", per_query_requests[i]);
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  ledger.Write(path);
 }
 
 int Run(const Options& options) {
@@ -604,7 +604,6 @@ int Run(const Options& options) {
   if (!options.json_path.empty()) {
     WriteJson(options.json_path, options, env, summary,
               per_query_requests);
-    std::printf("wrote %s\n", options.json_path.c_str());
   }
   // Correctness failures are a non-zero exit even without the JSON
   // gate: a load test that returns wrong bytes must not look green.

@@ -5,15 +5,16 @@
 //
 //   1. Byte-identity: for every query, truncated ones included, every
 //      shard count must return the single index's answers — same
-//      scores, same tie-break order. Divergence lands in
-//      summary.mismatches and fails the run.
+//      scores, same tie-break order. Divergence counts as a mismatch
+//      and fails the run.
 //   2. Same work: sharding only changes where clustering runs, so the
 //      forest search must spend exactly the single index's expansions
 //      at every shard count.
 //
-// Timings (per-shard-count mean latency) are reported for the
-// regression gate's machine-dependent checks. --json=FILE writes the
-// artifact gated by tools/check_bench_regression.py --mode=shard.
+// --json=FILE writes a bench ledger (bench_util.h) gated by
+// tools/check_bench_regression.py: both claims plus exact expansion and
+// coverage counts on any machine, per-shard-count mean latency only
+// against a baseline with the same fingerprint.
 //
 // Scale: --universities=N drives the LUBM generator (each university
 // is a few hundred triples; N≈30000 crosses 10M triples for cluster-
@@ -246,52 +247,45 @@ int Run(const Options& options) {
   }
 
   if (!options.json_path.empty()) {
-    std::FILE* f = std::fopen(options.json_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", options.json_path.c_str());
-      return 1;
+    Ledger ledger("shard");
+    std::string shard_counts;
+    for (size_t shards : options.shard_counts) {
+      shard_counts += (shard_counts.empty() ? "" : ",") +
+                      std::to_string(shards);
     }
-    std::fprintf(f, "{\n  \"bench\": \"shard\",\n");
-    std::fprintf(f, "  \"universities\": %zu,\n", options.universities);
-    std::fprintf(f, "  \"k\": %zu,\n  \"threads\": %zu,\n", options.k,
-                 options.threads);
-    std::fprintf(f,
-                 "  \"summary\": {\"mismatches\": %llu, "
-                 "\"queries_compared\": %zu, "
-                 "\"queries_truncated\": %zu, "
-                 "\"single_mean_ms\": %.4f, "
-                 "\"single_expansions\": %llu},\n",
-                 static_cast<unsigned long long>(mismatches), queries.size(),
-                 truncated, FiniteOr(single_mean_ms),
-                 static_cast<unsigned long long>(single_expansions));
-    std::fprintf(f, "  \"shard_runs\": [\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"shards\": %zu, \"mean_ms\": %.4f, "
-                   "\"expansions\": %llu, \"degraded\": %llu}%s\n",
-                   runs[i].shards, FiniteOr(runs[i].mean_ms),
-                   static_cast<unsigned long long>(runs[i].expansions),
-                   static_cast<unsigned long long>(runs[i].degraded),
-                   i + 1 < runs.size() ? "," : "");
+    ledger.Config("universities", options.universities);
+    ledger.Config("shard_counts", shard_counts);
+    ledger.Config("k", options.k);
+    ledger.Config("threads", options.threads);
+    ledger.Config("max_expansions", options.max_expansions);
+    // Identity, equal work and coverage hold on any machine; only the
+    // per-shard-count latency needs a same-fingerprint baseline.
+    ledger.Metric("mismatches", mismatches, "zero");
+    ledger.Metric("queries_compared", queries.size(), "exact");
+    ledger.Metric("queries_truncated", truncated, "exact");
+    ledger.Metric("single_expansions", single_expansions, "exact");
+    ledger.Metric("single_mean_ms", single_mean_ms);
+    for (const ShardRun& run : runs) {
+      const std::string key = "shards_" + std::to_string(run.shards) + ".";
+      const uint64_t extra = run.expansions > single_expansions
+                                 ? run.expansions - single_expansions
+                                 : single_expansions - run.expansions;
+      ledger.Metric(key + "expansions", run.expansions, "exact");
+      ledger.Metric(key + "expansions_off_single", extra, "zero");
+      ledger.Metric(key + "degraded", run.degraded, "zero");
+      ledger.Metric(key + "mean_ms", run.mean_ms, "lower:0.2");
     }
-    std::fprintf(f, "  ],\n  \"queries\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const QueryRow& row = rows[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"truncated\": %s, "
-                   "\"single_ms\": %.4f, \"matches\": [",
-                   row.name.c_str(),
-                   row.truncated ? "true" : "false",
-                   FiniteOr(row.single_ms));
+    for (const QueryRow& row : rows) {
+      ledger.Metric(row.name + ".truncated", row.truncated);
+      ledger.Metric(row.name + ".single_ms", row.single_ms);
       for (size_t j = 0; j < row.match.size(); ++j) {
-        std::fprintf(f, "%s%s", j ? ", " : "",
-                     row.match[j] ? "true" : "false");
+        const std::string key = row.name + ".shards_" +
+                                std::to_string(runs[j].shards) + ".";
+        ledger.Metric(key + "ms", row.sharded_ms[j]);
+        ledger.Metric(key + "match", row.match[j]);
       }
-      std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", options.json_path.c_str());
+    ledger.Write(options.json_path);
   }
   return mismatches == 0 && same_work ? 0 : 1;
 }

@@ -1,18 +1,26 @@
 #ifndef SAMA_BENCH_BENCH_UTIL_H_
 #define SAMA_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "datasets/lubm.h"
 #include "index/path_index.h"
 #include "text/thesaurus.h"
+
+#ifndef SAMA_BUILD_TYPE
+#define SAMA_BUILD_TYPE "unknown"
+#endif
 
 namespace sama {
 namespace bench {
@@ -25,6 +33,114 @@ namespace bench {
 inline double FiniteOr(double v, double fallback = 0.0) {
   return std::isfinite(v) ? v : fallback;
 }
+
+// The one artifact shape every gated harness writes (--json=FILE) and
+// tools/check_bench_regression.py reads:
+//
+//   {"bench": NAME,
+//    "fingerprint": {"nproc", "cpu", "compiler", "build_type"},
+//    "config": {KEY: VALUE, ...},
+//    "metrics": [{"name", "value", "gate"}, ...]}
+//
+// A gate is a space-separated list of clauses; the checker applies the
+// committed baseline's gates, in three tiers:
+//   zero, exact         deterministic counters, on any machine
+//   min:X, max:X        same-run ratios and hard floors, on any machine
+//   lower:T, higher:T   absolute ms and rates within T of the baseline,
+//                       only when both fingerprints match
+//   none                recorded for the reader, never gated
+// `config` must match the baseline's exactly: every option that moves
+// a counter or changes what a number means belongs in it.
+class Ledger {
+ public:
+  explicit Ledger(std::string bench) : bench_(std::move(bench)) {}
+
+  void Config(const std::string& key, double value) {
+    config_.emplace_back(key, Number(value));
+  }
+  void Config(const std::string& key, const std::string& value) {
+    config_.emplace_back(key, Quote(value));
+  }
+  void Metric(const std::string& name, double value,
+              const char* gate = "none") {
+    metrics_.push_back("{\"name\": " + Quote(name) +
+                       ", \"value\": " + Number(value) +
+                       ", \"gate\": " + Quote(gate) + "}");
+  }
+
+  // Exits 1 when the file cannot be written: a missing artifact must
+  // fail the CI step that asked for it.
+  void Write(const std::string& path) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
+    std::fprintf(f,
+                 "{\"bench\": %s,\n \"fingerprint\": {\"nproc\": %ld, "
+                 "\"cpu\": %s, \"compiler\": %s, \"build_type\": %s},\n"
+                 " \"config\": {",
+                 Quote(bench_).c_str(), sysconf(_SC_NPROCESSORS_ONLN),
+                 Quote(CpuModel()).c_str(), Quote(Compiler()).c_str(),
+                 Quote(SAMA_BUILD_TYPE).c_str());
+    for (size_t i = 0; i < config_.size(); ++i) {
+      std::fprintf(f, "%s%s: %s", i ? ", " : "",
+                   Quote(config_[i].first).c_str(),
+                   config_[i].second.c_str());
+    }
+    std::fprintf(f, "},\n \"metrics\": [");
+    for (size_t i = 0; i < metrics_.size(); ++i) {
+      std::fprintf(f, "%s\n  %s", i ? "," : "", metrics_[i].c_str());
+    }
+    std::fprintf(f, "\n]}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+  }
+
+ private:
+  // %.15g keeps every integer below 10^15 exact, so `exact` counters
+  // round-trip.
+  static std::string Number(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.15g", FiniteOr(v));
+    return buf;
+  }
+  static std::string Quote(const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') {
+        out += '\\';
+        out += c;
+      } else if (static_cast<unsigned char>(c) >= 0x20) {
+        out += c;
+      }
+    }
+    return out + "\"";
+  }
+  static std::string CpuModel() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      size_t colon = line.find(':');
+      if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+        size_t start = line.find_first_not_of(' ', colon + 1);
+        return start == std::string::npos ? "" : line.substr(start);
+      }
+    }
+    return "unknown";
+  }
+  static std::string Compiler() {
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#else
+    return "gcc " __VERSION__;
+#endif
+  }
+
+  std::string bench_;
+  std::vector<std::pair<std::string, std::string>> config_;
+  std::vector<std::string> metrics_;
+};
 
 // Global size multiplier: SAMA_BENCH_SCALE=1 approximates the paper's
 // dataset sizes (hours of indexing); the default keeps every harness

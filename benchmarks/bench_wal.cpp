@@ -16,8 +16,11 @@
 //
 // Every phase is gated on correctness before timing is believed: the
 // recovered LSN must equal the number of appends, and the verifier
-// must report the store clean after recovery. --json=FILE writes the
-// artifact gated by tools/check_bench_regression.py --mode=wal.
+// must report the store clean after recovery. --json=FILE writes a
+// bench ledger (bench_util.h) gated by tools/check_bench_regression.py:
+// zero replay errors, exact journal bytes and a 500 appends/s floor on
+// any machine; throughput and recovery bands only against a baseline
+// with the same fingerprint.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -119,35 +122,25 @@ struct Summary {
 
 void WriteJson(const std::string& path, const Options& options,
                const Summary& s) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"wal\",\n"
-               "  \"segment_bytes\": %zu,\n  \"seed\": %llu,\n"
-               "  \"summary\": {\n"
-               "    \"updates\": %zu,\n"
-               "    \"appends_per_sec\": %.2f,\n"
-               "    \"flush_ms\": %.4f,\n"
-               "    \"durable_appends_per_sec\": %.2f,\n"
-               "    \"checkpoint_ms\": %.4f,\n"
-               "    \"recovery_ms\": %.4f,\n"
-               "    \"replay_mb_per_sec\": %.2f,\n"
-               "    \"wal_tail_bytes\": %llu,\n"
-               "    \"replay_errors\": %zu\n  },\n"
-               "  \"queries\": []\n}\n",
-               options.segment_bytes,
-               static_cast<unsigned long long>(options.seed),
-               s.updates, FiniteOr(s.appends_per_sec),
-               FiniteOr(s.flush_ms),
-               FiniteOr(s.durable_appends_per_sec),
-               FiniteOr(s.checkpoint_ms), FiniteOr(s.recovery_ms),
-               FiniteOr(s.replay_mb_per_sec),
-               static_cast<unsigned long long>(s.wal_tail_bytes),
-               s.replay_errors);
-  std::fclose(f);
+  Ledger ledger("wal");
+  ledger.Config("updates", options.updates);
+  ledger.Config("durable_updates", options.durable_updates);
+  ledger.Config("recovery_updates", options.recovery_updates);
+  ledger.Config("segment_bytes", options.segment_bytes);
+  ledger.Config("seed", options.seed);
+  // A lost acked LSN or a dirty post-recovery verify fails whatever the
+  // throughput says; the journal's bytes are a deterministic counter.
+  ledger.Metric("replay_errors", s.replay_errors, "zero");
+  ledger.Metric("updates", s.updates, "exact");
+  ledger.Metric("wal_tail_bytes", s.wal_tail_bytes, "exact");
+  ledger.Metric("appends_per_sec", s.appends_per_sec, "min:500 higher:0.2");
+  ledger.Metric("durable_appends_per_sec", s.durable_appends_per_sec,
+                "higher:0.2");
+  ledger.Metric("recovery_ms", s.recovery_ms, "lower:0.2");
+  ledger.Metric("flush_ms", s.flush_ms);
+  ledger.Metric("checkpoint_ms", s.checkpoint_ms);
+  ledger.Metric("replay_mb_per_sec", s.replay_mb_per_sec);
+  ledger.Write(path);
 }
 
 int Run(const Options& options) {
@@ -314,7 +307,6 @@ int Run(const Options& options) {
 
   if (!options.json_path.empty()) {
     WriteJson(options.json_path, options, summary);
-    std::printf("wrote %s\n", options.json_path.c_str());
   }
   std::filesystem::remove_all(dir);
   return summary.replay_errors == 0 ? 0 : 1;

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Fails when the current branch does not add at least one line to
 # CHANGES.md relative to the merge base with the target branch
-# (default origin/main), or when any committed bench baseline artifact
-# that check_bench_regression.py gates against is missing or not the
-# JSON shape the gate expects ('summary' + 'queries' keys). Run from
-# anywhere inside the repository.
+# (default origin/main), or when a committed bench baseline is missing
+# or does not pass tools/check_bench_regression.py against itself. Run
+# from anywhere inside the repository.
 #
 # Usage: tools/check_changes_entry.sh [BASE_REF]
 set -euo pipefail
@@ -12,39 +11,22 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 base_ref="${1:-origin/main}"
 
-# The committed baselines CI feeds to check_bench_regression.py. A
-# missing or malformed one would fail every future PR at the gate step,
-# so catch it at lint time, in the PR that broke it.
-baselines=(
-  benchmarks/BENCH_pr5_baseline.json
-  benchmarks/BENCH_pr6_baseline.json
-  benchmarks/BENCH_pr7_baseline.json
-  benchmarks/BENCH_pr8_baseline.json
-  benchmarks/BENCH_pr9_baseline.json
-  benchmarks/BENCH_pr10_baseline.json
-)
-for artifact in "${baselines[@]}"; do
-  if [ ! -f "$artifact" ]; then
-    echo "check_changes_entry: committed baseline '$artifact' is missing" >&2
-    exit 1
-  fi
-  if ! python3 - "$artifact" <<'EOF'
-import json, sys
-path = sys.argv[1]
-def reject(literal):
-    raise ValueError(f"non-finite JSON value {literal!r}")
-with open(path) as f:
-    artifact = json.load(f, parse_constant=reject)
-for key in ("summary", "queries"):
-    if key not in artifact:
-        raise SystemExit(f"{path}: missing key '{key}'")
-EOF
-  then
+# The baselines are the ones CI gates against plus every ledger under
+# benchmarks/. The ledger checker, run on a baseline against itself,
+# refuses a missing, malformed or non-finite file and a zero/negative
+# baseline, and fails one that breaks its own gates. Catch that at lint
+# time, in the PR that broke it, not at every later PR's gate step.
+baselines=$( { grep -o 'benchmarks/BENCH_[A-Za-z0-9_]*\.json' \
+                 .github/workflows/ci.yml
+               printf '%s\n' benchmarks/BENCH_*.json; } | sort -u)
+for artifact in $baselines; do
+  if ! python3 tools/check_bench_regression.py "$artifact" "$artifact" \
+       > /dev/null; then
     echo "check_changes_entry: '$artifact' is not a valid bench baseline" >&2
     exit 1
   fi
 done
-echo "check_changes_entry: ${#baselines[@]} bench baseline(s) present and valid"
+echo "check_changes_entry: $(echo "$baselines" | wc -l) bench baseline(s) valid"
 
 if ! git rev-parse --verify --quiet "$base_ref^{commit}" > /dev/null; then
   # Shallow clone or missing remote: lenient skip rather than a false
